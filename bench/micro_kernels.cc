@@ -105,7 +105,9 @@ BENCHMARK(BM_SimulatorSaturatedDelivery)->Arg(64)->Arg(128)->Arg(256);
 // load: per-shard word-level flight unions (default) vs the K-way
 // next_at_least cursor merge. parallel_grain=1 keeps every round on the
 // sharded path so the delivery strategy is the only difference. Counts are
-// identical (pinned by simulator_test); only wall time may differ.
+// identical (pinned by simulator_test); only wall time may differ, so both
+// register UseRealTime(): the default (main-thread CPU time) leaves out
+// the workers' share and inflates items_per_second.
 void saturated_delivery_threaded(benchmark::State& state,
                                  bool union_delivery) {
   const auto side = static_cast<NodeId>(state.range(0));
@@ -150,7 +152,8 @@ void BM_SimulatorDeliveryUnion(benchmark::State& state) {
 BENCHMARK(BM_SimulatorDeliveryUnion)
     ->Args({128, 2})
     ->Args({128, 4})
-    ->Args({256, 4});
+    ->Args({256, 4})
+    ->UseRealTime();
 
 void BM_SimulatorDeliveryMerge(benchmark::State& state) {
   saturated_delivery_threaded(state, /*union_delivery=*/false);
@@ -158,7 +161,8 @@ void BM_SimulatorDeliveryMerge(benchmark::State& state) {
 BENCHMARK(BM_SimulatorDeliveryMerge)
     ->Args({128, 2})
     ->Args({128, 4})
-    ->Args({256, 4});
+    ->Args({256, 4})
+    ->UseRealTime();
 
 // The word-level union feeding the default delivery path: K sparse source
 // bitsets ORed into one pooled target, then cleared.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "scenario/json.h"
+#include "scenario/result_cache.h"
 #include "util/contracts.h"
 
 namespace cpt::scenario {
@@ -245,7 +246,8 @@ std::string render_aggregate_csv(const std::vector<CellAggregate>& cells) {
 std::string render_timing_json(const Manifest& manifest,
                                const BatchResult& batch,
                                const std::vector<CellAggregate>& cells,
-                               const util::MetricsRegistry* metrics) {
+                               const util::MetricsRegistry* metrics,
+                               const ResultCache* cache) {
   std::string out = "{\n  \"schema\": \"cpt_batch_timing_v1\",\n  \"name\": ";
   json_append_escaped(out, manifest.name);
   out += ",\n  \"threads\": " + json_render_uint(batch.threads_used);
@@ -266,7 +268,20 @@ std::string render_timing_json(const Manifest& manifest,
   out += ", \"generated\": " + json_render_uint(batch.corpus.generated);
   out += ", \"skipped\": " + json_render_uint(batch.corpus.skipped);
   out += ", \"corrupt_files\": " + json_render_uint(batch.corpus.corrupt_files);
-  out += "},\n  \"cells\": [";
+  out += "}";
+  if (cache != nullptr) {
+    // The cache instance's own counters: stores and syncs explain what a
+    // cold cached run paid for durability.
+    const ResultCache::Counters& c = cache->counters();
+    out += ",\n  \"result_cache\": {\"hits\": " + json_render_uint(c.hits.load());
+    out += ", \"misses\": " + json_render_uint(c.misses.load());
+    out += ", \"corrupt\": " + json_render_uint(c.corrupt.load());
+    out += ", \"stores\": " + json_render_uint(c.stores.load());
+    out += ", \"syncs\": " + json_render_uint(c.syncs.load());
+    out += ", \"compactions\": " + json_render_uint(c.compactions.load());
+    out += "}";
+  }
+  out += ",\n  \"cells\": [";
   for (std::size_t c = 0; c < cells.size(); ++c) {
     out += c == 0 ? "\n" : ",\n";
     out += "    {\"scenario\": ";

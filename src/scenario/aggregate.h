@@ -138,11 +138,13 @@ std::string render_aggregate_csv(const std::vector<CellAggregate>& cells);
 // Wall-clock report (nondeterministic by nature; kept separate from the
 // aggregate document). When `metrics` is non-null its registry snapshot
 // is embedded under a "metrics" key (same body as the cpt_metrics_v1
-// document cpt_batch --metrics writes).
+// document cpt_batch --metrics writes). When `cache` is non-null its
+// counters are reported under a "result_cache" key.
 std::string render_timing_json(const Manifest& manifest,
                                const BatchResult& batch,
                                const std::vector<CellAggregate>& cells,
-                               const util::MetricsRegistry* metrics = nullptr);
+                               const util::MetricsRegistry* metrics = nullptr,
+                               const ResultCache* cache = nullptr);
 
 // ---- Streamed aggregate (JSONL, schema cpt_batch_aggregate_stream_v1) ----
 // One header line, one line per finalized cell (same fields as the

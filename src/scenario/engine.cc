@@ -422,9 +422,10 @@ BatchResult run_batch_impl(const Manifest& manifest,
            options.completed->count(j) != 0;
   };
 
-  // Phase 0: consult the persistent result cache. Lookups are per-job
-  // file reads, parallel across the pool; the hit set is a pure function
-  // of the cache directory's state and the job list, never the schedule.
+  // Phase 0: consult the persistent result cache. Lookups are in-memory
+  // index probes plus a parse, parallel across the pool; the hit set is a
+  // pure function of the cache index and the job list, never the
+  // schedule.
   ResultCache* const cache =
       options.result_cache != nullptr && options.result_cache->enabled()
           ? options.result_cache
@@ -769,8 +770,10 @@ BatchResult run_batch_impl(const Manifest& manifest,
         JobResult r = produce(j, &resumed, &from_cache, &states[w]);
         if (trace != nullptr) busy_ns[w] += util::trace_now_ns() - b0;
         // Cache publish happens outside the retirement lock (it is file
-        // I/O) and before the result is surfaced, so a crash after the
-        // sink ran never leaves a journaled-but-uncached fresh result.
+        // I/O) and before the result is surfaced: by the time the sink
+        // journals a fresh result its cache entry is written -- it survives
+        // a process crash -- though not yet durable against a power cut
+        // until the next group commit or the flush below.
         publish(j, r, resumed, from_cache);
         mark_done();
         {
@@ -800,6 +803,11 @@ BatchResult run_batch_impl(const Manifest& manifest,
                                  static_cast<double>(peak_pending));
     }
   }
+
+  // The unsynced tail of this batch's cache stores becomes durable here,
+  // once per batch (and so once per cpt_serve request) rather than once
+  // per entry.
+  if (cache != nullptr) cache->flush();
 
   out.wall_seconds = now_seconds() - t0;
   if (trace != nullptr) {

@@ -163,9 +163,10 @@ struct BatchOptions {
   // Persistent result cache (scenario/result_cache.h). Consulted before
   // execution -- hits flow through the sink / result slot exactly like
   // resumed jobs, so aggregates stay byte-identical to uncached runs --
-  // and populated as freshly executed jobs retire. Instances whose every
-  // job is served from the cache (or the resume map) are not materialized
-  // at all. Counted in BatchResult::cache_hit_jobs. nullptr = off.
+  // and populated as freshly executed jobs retire; flushed once at the end
+  // of the execute phase. Instances whose every job is served from the
+  // cache (or the resume map) are not materialized at all. Counted in
+  // BatchResult::cache_hit_jobs. nullptr = off.
   ResultCache* result_cache = nullptr;
   // External WorkerPool to run on instead of constructing one per batch
   // (cpt_serve shares one pool across requests, amortizing thread

@@ -99,7 +99,8 @@ struct Service::Impl {
   // snapshot path adds deltas so serve/cache_* counters track the atomic
   // totals without double counting. Guarded by `mu`.
   std::uint64_t exported_hits = 0, exported_misses = 0, exported_corrupt = 0,
-                exported_stores = 0, exported_evictions = 0;
+                exported_stores = 0, exported_evictions = 0,
+                exported_syncs = 0, exported_compactions = 0;
 
   explicit Impl(ServiceOptions opts)
       : options(std::move(opts)),
@@ -424,6 +425,8 @@ void Service::sync_cache_counters() {
   sync("serve/cache_corrupt", c.corrupt, &im.exported_corrupt);
   sync("serve/cache_stores", c.stores, &im.exported_stores);
   sync("serve/cache_evictions", c.evictions, &im.exported_evictions);
+  sync("serve/cache_syncs", c.syncs, &im.exported_syncs);
+  sync("serve/cache_compactions", c.compactions, &im.exported_compactions);
 }
 
 }  // namespace cpt::scenario

@@ -1,11 +1,12 @@
-// Crash-safety suite for the resumable batch stack (PR 6): the fault-plan
+// Crash-safety suite for the resumable batch stack: the fault-plan
 // grammar and its determinism contract, bounded transient retry, corrupt-
 // corpus regeneration, the orphan-tmp sweep, the journal's round-trip /
 // torn-tail / bit-rot semantics, in-process resume (cached jobs provably
 // not re-executed), the round-budget timeout classification, cooperative
 // cancellation -- and a subprocess kill/resume harness that hard-kills the
 // real cpt_batch binary at injected job indices and pins the recovered
-// aggregate byte-identical to an uninterrupted run at --threads 1 and 4.
+// aggregate byte-identical to an uninterrupted run at --threads 1 and 4,
+// both through the journal and through the result cache alone.
 //
 // Every test that installs a fault plan uninstalls it on exit (the plan is
 // process-global); plans are re-parsed per run because check() consumes
@@ -764,6 +765,35 @@ TEST(KillResumeHarness, FaultPlanEnvFallbackAndResumeOnFreshJournal) {
             kFaultExitCode);
   ASSERT_EQ(run_command(base), 0);
   EXPECT_EQ(slurp(out), slurp(clean_out));
+}
+
+// The result cache subsumes resume for a killed sweep: with --cache and
+// no journal, a hard kill mid-sweep (exit 137) leaves every result stored
+// before it written to the cache (write(2) before store() returns, synced
+// or not), and a plain rerun serves them and reproduces the clean bytes.
+TEST(KillResumeHarness, HardKillThenCachedRerunIsByteIdentical) {
+  const std::string manifest = std::string(CPT_MANIFEST_DIR) +
+                               "/metamorphic_smoke.json";
+  const std::string dir = temp_dir();
+  const std::string clean_out = dir + "/clean.json";
+  ASSERT_EQ(run_command(std::string(CPT_BATCH_BIN) + " run " + manifest +
+                        " --threads=4 --quiet --out=" + clean_out),
+            0);
+
+  const std::string base = std::string(CPT_BATCH_BIN) + " run " + manifest +
+                           " --threads=4 --cache=" + dir + "/cache";
+  EXPECT_EQ(run_command(base + " --quiet --fault-plan=exit@run_job:key=13" +
+                        " --out=" + dir + "/killed.json 2>/dev/null"),
+            kFaultExitCode);
+  const std::string log = dir + "/rerun.log";
+  ASSERT_EQ(run_command(base + " --out=" + dir + "/rerun.json > " + log), 0);
+  EXPECT_EQ(slurp(dir + "/rerun.json"), slurp(clean_out));
+  // "# cache: H of N jobs from result cache": jobs 0..12 were claimed
+  // before the kill and at most 3 of them were still running, so H >= 10.
+  const std::string text = slurp(log);
+  const std::size_t at = text.find("# cache: ");
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_GE(std::strtoul(text.c_str() + at + 9, nullptr, 10), 10ul) << text;
 }
 
 TEST(KillResumeHarness, SigtermDrainsFlushesAndExitsResumable) {

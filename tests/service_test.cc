@@ -1,18 +1,25 @@
-// Service + result-cache suite (the cpt_serve PR): content-address
-// round-trip through the persistent result cache, corrupt-entry
-// self-healing, write-time FIFO eviction, engine-level cache hits pinned
+// Service + result-cache suite: content-address round-trip through the
+// persistent result cache and its segment layout (an instance serving its
+// own stores, torn tails dropped at open, corrupt lines reported and
+// shadowed by a re-store, the entry cap at flush and at open, legacy
+// entry files removed, forked writers' union seen by a fresh open with
+// dead writers' segments compacted), engine-level cache hits pinned
 // byte-identical to fresh execution at --threads 1 and 4 (with fully
-// cached instances never materialized), thread- and process-concurrent
-// cache hammering, and an end-to-end daemon exercise over a real
-// Unix-domain socket: protocol errors, priority ordering, repeat sweeps
-// served 100% from cache, and the cpt_batch thin client reproducing the
-// serverless aggregate bytes.
+// cached instances never materialized) and a mid-segment bit flip costing
+// exactly one re-execution, thread- and process-concurrent cache
+// hammering, and an end-to-end daemon exercise over a real Unix-domain
+// socket: protocol errors, priority ordering, repeat sweeps served 100%
+// from cache, and the cpt_batch thin client reproducing the serverless
+// aggregate bytes.
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -75,13 +82,64 @@ std::size_t count_entries(const std::string& dir, const char* infix) {
   return count;
 }
 
+// The cache's segment files (seg.*.cps, not temps), sorted by name.
+std::vector<std::string> segment_files(const std::string& dir) {
+  std::vector<std::string> out;
+  if (DIR* d = opendir(dir.c_str())) {
+    while (const dirent* entry = readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name.size() > 4 && name.compare(name.size() - 4, 4, ".cps") == 0) {
+        out.push_back(dir + "/" + name);
+      }
+    }
+    closedir(d);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Flips one bit inside the record of line `line_no` (past its key prefix,
+// so the line stays filed under its key) and restores the segment's
+// mtime: bit rot does not touch timestamps.
+void flip_byte_in_line(const std::string& path, std::size_t line_no) {
+  struct stat st {};
+  ASSERT_EQ(stat(path.c_str(), &st), 0);
+  std::string text;
+  ASSERT_TRUE(read_text_file(path, &text));
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < line_no; ++i) {
+    pos = text.find('\n', pos);
+    ASSERT_NE(pos, std::string::npos);
+    ++pos;
+  }
+  const std::size_t target = pos + 17 + 40;  // 16-hex key, space, record
+  ASSERT_LT(target, text.find('\n', pos));
+  text[target] = static_cast<char>(text[target] ^ 0x01);
+  ASSERT_TRUE(write_text_file(path, text));
+  const timespec times[2] = {st.st_atim, st.st_mtim};
+  ASSERT_EQ(utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+}
+
+// Runs `body` in a forked child that exits without destructors (like a
+// killed writer: nothing is flushed); returns its exit status.
+template <typename Body>
+int run_child(Body body) {
+  const pid_t pid = fork();
+  if (pid == 0) _exit(body() ? 0 : 1);
+  int status = 0;
+  if (pid < 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
+    return -1;
+  }
+  return WEXITSTATUS(status);
+}
+
 // ---- ResultCache unit behavior -------------------------------------------
 
 TEST(ResultCache, RoundTripsResultsByContentAddress) {
   const std::string dir = temp_dir();
   const Manifest m = suite_manifest();
   const std::vector<Job> jobs = expand_manifest(m);
-  const ResultCache cache(dir + "/cache");
+  ResultCache cache(dir + "/cache");
 
   JobResult r;
   r.verdict = Verdict::kReject;
@@ -112,7 +170,7 @@ TEST(ResultCache, FailedResultsAreNeverStoredTimedOutAre) {
   const std::string dir = temp_dir();
   const Manifest m = suite_manifest();
   const std::vector<Job> jobs = expand_manifest(m);
-  const ResultCache cache(dir);
+  ResultCache cache(dir);
 
   JobResult failed;
   failed.failed = true;
@@ -131,62 +189,169 @@ TEST(ResultCache, FailedResultsAreNeverStoredTimedOutAre) {
   EXPECT_FALSE(probe.failed);
 }
 
-TEST(ResultCache, CorruptEntriesAreRemovedOnLoad) {
+// Serves its own stores without a reopen (cpt_serve's second request
+// depends on this), on a directory that did not exist at open.
+TEST(ResultCache, InstanceServesItsOwnStores) {
+  const std::string dir = temp_dir() + "/not_yet";
+  const Manifest m = suite_manifest();
+  const std::vector<Job> jobs = expand_manifest(m);
+  ResultCache cache(dir);
+  JobResult r;
+  r.verdict = Verdict::kAccept;
+  for (const Job& job : jobs) {
+    r.rounds = job.job_index + 1;
+    ASSERT_TRUE(cache.store(job, r));
+  }
+  JobResult probe;
+  for (const Job& job : jobs) {
+    ASSERT_EQ(cache.load(job, &probe), ResultCache::LoadStatus::kHit);
+    EXPECT_EQ(probe.rounds, job.job_index + 1u);
+  }
+  EXPECT_EQ(cache.counters().hits.load(), jobs.size());
+  EXPECT_EQ(segment_files(dir).size(), 1u);  // one instance, one segment
+}
+
+TEST(ResultCache, CorruptLineIsReportedAndShadowedByARestore) {
   const std::string dir = temp_dir();
   const Manifest m = suite_manifest();
   const std::vector<Job> jobs = expand_manifest(m);
-  const ResultCache cache(dir);
   JobResult r;
   r.verdict = Verdict::kAccept;
   r.rounds = 5;
-  ASSERT_TRUE(cache.store(jobs[0], r));
-  ASSERT_EQ(count_entries(dir, ".cpr"), 1u);
-
-  // Flip one byte inside the record: the checksum line no longer
-  // validates, the entry is removed, and the caller sees kCorrupt.
-  std::string name;
-  if (DIR* d = opendir(dir.c_str())) {
-    while (const dirent* entry = readdir(d)) {
-      if (std::strstr(entry->d_name, ".cpr") != nullptr) name = entry->d_name;
-    }
-    closedir(d);
-  }
-  ASSERT_FALSE(name.empty());
-  const std::string path = dir + "/" + name;
   {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 40, SEEK_SET), 0);
-    const int c = std::fgetc(f);
-    ASSERT_EQ(std::fseek(f, 40, SEEK_SET), 0);
-    std::fputc(c ^ 0x5a, f);
-    std::fclose(f);
+    ResultCache cache(dir);
+    ASSERT_TRUE(cache.store(jobs[0], r));
   }
+  const std::vector<std::string> segments = segment_files(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  flip_byte_in_line(segments[0], 0);
+
+  // The checksum no longer validates: kCorrupt, counted, and the bad line
+  // stays on disk until a re-store shadows it.
   JobResult probe;
-  EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kCorrupt);
-  EXPECT_EQ(count_entries(dir, ".cpr"), 0u);
-  EXPECT_EQ(cache.counters().corrupt.load(), 1u);
-  // Re-storing self-heals.
-  ASSERT_TRUE(cache.store(jobs[0], r));
-  EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kHit);
+  {
+    ResultCache cache(dir);
+    EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kCorrupt);
+    EXPECT_EQ(cache.counters().corrupt.load(), 1u);
+    ASSERT_TRUE(cache.store(jobs[0], r));
+    EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kHit);
+  }
+  // A fresh open reads the later, good line.
+  ResultCache reopened(dir);
+  EXPECT_EQ(reopened.load(jobs[0], &probe), ResultCache::LoadStatus::kHit);
+  EXPECT_EQ(reopened.counters().corrupt.load(), 0u);
 }
 
-TEST(ResultCache, EvictionEnforcesTheEntryCap) {
+TEST(ResultCache, TornTailIsDroppedAtOpen) {
+  const std::string dir = temp_dir();
+  const Manifest m = suite_manifest();
+  const std::vector<Job> jobs = expand_manifest(m);
+  ASSERT_GE(jobs.size(), 4u);
+  JobResult r;
+  r.verdict = Verdict::kReject;
+  {
+    ResultCache cache(dir + "/cache");
+    for (std::size_t j = 0; j < 3; ++j) ASSERT_TRUE(cache.store(jobs[j], r));
+    // The fourth entry's line, rendered in a side cache.
+    ResultCache side(dir + "/side");
+    ASSERT_TRUE(side.store(jobs[3], r));
+  }
+  const std::vector<std::string> main_segments = segment_files(dir + "/cache");
+  const std::vector<std::string> side_segments = segment_files(dir + "/side");
+  ASSERT_EQ(main_segments.size(), 1u);
+  ASSERT_EQ(side_segments.size(), 1u);
+  std::string line;
+  ASSERT_TRUE(read_text_file(side_segments[0], &line));
+  // A crash mid-append: half of the fourth line, no newline.
+  std::FILE* f = std::fopen(main_segments[0].c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(line.data(), 1, line.size() / 2, f);
+  std::fclose(f);
+
+  ResultCache cache(dir + "/cache");
+  JobResult probe;
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(cache.load(jobs[j], &probe), ResultCache::LoadStatus::kHit) << j;
+  }
+  EXPECT_EQ(cache.load(jobs[3], &probe), ResultCache::LoadStatus::kMiss);
+  EXPECT_EQ(cache.counters().corrupt.load(), 0u);
+}
+
+// The cap is enforced when a batch ends (flush) and when a cache opens,
+// not after every store: an instance overshoots it until it flushes.
+TEST(ResultCache, CapHoldsAfterFlushKeepingTheNewest) {
   const std::string dir = temp_dir();
   const Manifest m = suite_manifest();
   const std::vector<Job> jobs = expand_manifest(m);
   ASSERT_GE(jobs.size(), 8u);
-  const ResultCache cache(dir, /*max_entries=*/4);
+  ResultCache cache(dir, /*max_entries=*/4);
   JobResult r;
   r.verdict = Verdict::kAccept;
-  for (std::size_t j = 0; j < 8; ++j) {
-    ASSERT_TRUE(cache.store(jobs[j], r));
-  }
-  EXPECT_LE(count_entries(dir, ".cpr"), 4u);
-  EXPECT_GE(cache.counters().evictions.load(), 4u);
-  // The most recent store always survives its own eviction pass.
+  for (std::size_t j = 0; j < 8; ++j) ASSERT_TRUE(cache.store(jobs[j], r));
   JobResult probe;
-  EXPECT_EQ(cache.load(jobs[7], &probe), ResultCache::LoadStatus::kHit);
+  EXPECT_EQ(cache.load(jobs[0], &probe), ResultCache::LoadStatus::kHit);
+  EXPECT_EQ(cache.counters().evictions.load(), 0u);
+
+  ASSERT_TRUE(cache.flush());
+  EXPECT_EQ(cache.counters().evictions.load(), 4u);
+  EXPECT_EQ(cache.counters().compactions.load(), 1u);
+  for (std::size_t j = 0; j < 8; ++j) {
+    EXPECT_EQ(cache.load(jobs[j], &probe), j < 4
+                                               ? ResultCache::LoadStatus::kMiss
+                                               : ResultCache::LoadStatus::kHit)
+        << j;
+  }
+  // On disk too: one compacted segment holding exactly the newest four.
+  EXPECT_EQ(segment_files(dir).size(), 1u);
+  ResultCache reopened(dir);
+  std::size_t hits = 0;
+  for (std::size_t j = 0; j < 8; ++j) {
+    hits += reopened.load(jobs[j], &probe) == ResultCache::LoadStatus::kHit;
+  }
+  EXPECT_EQ(hits, 4u);
+  EXPECT_EQ(reopened.load(jobs[7], &probe), ResultCache::LoadStatus::kHit);
+}
+
+TEST(ResultCache, CapIsEnforcedAtOpenOverADeadWritersSegment) {
+  const std::string dir = temp_dir();
+  const Manifest m = suite_manifest();
+  const std::vector<Job> jobs = expand_manifest(m);
+  ASSERT_GE(jobs.size(), 8u);
+  JobResult r;
+  r.verdict = Verdict::kAccept;
+  ASSERT_EQ(run_child([&] {
+              ResultCache uncapped(dir);
+              for (std::size_t j = 0; j < 8; ++j) {
+                if (!uncapped.store(jobs[j], r)) return false;
+              }
+              return true;
+            }),
+            0);
+  ResultCache cache(dir, /*max_entries=*/4);
+  EXPECT_EQ(cache.counters().evictions.load(), 4u);
+  EXPECT_EQ(cache.counters().compactions.load(), 1u);
+  JobResult probe;
+  for (std::size_t j = 0; j < 8; ++j) {
+    EXPECT_EQ(cache.load(jobs[j], &probe), j < 4
+                                               ? ResultCache::LoadStatus::kMiss
+                                               : ResultCache::LoadStatus::kHit)
+        << j;
+  }
+  EXPECT_EQ(segment_files(dir).size(), 1u);
+}
+
+TEST(ResultCache, LegacyEntryFilesAndOrphanTempsAreRemovedAtOpen) {
+  const std::string dir = temp_dir();
+  for (const char* name :
+       {"0123456789abcdef.cpr", "0123456789abcdef.cpr.tmp",
+        "0123456789abcdef.cpr.tmp.999999999.0",
+        "seg.999999999.0.cps.tmp.999999999.1", "0123456789abcdef.cpg"}) {
+    ASSERT_TRUE(write_text_file(dir + "/" + name, "x\n"));
+  }
+  ResultCache cache(dir);
+  EXPECT_EQ(count_entries(dir, ".cpr"), 0u);
+  EXPECT_EQ(count_entries(dir, ".cps"), 0u);
+  EXPECT_EQ(count_entries(dir, ".cpg"), 1u);  // the corpus is not ours
 }
 
 // ---- Engine integration: hits, byte-identity, skip-materialize -----------
@@ -240,6 +405,9 @@ TEST(Engine, CacheHitsReproduceAggregateBytesAtEveryThreadCount) {
   EXPECT_EQ(render_aggregate_json(m, streamed, agg.finish()), baseline);
 }
 
+// A bit flip in the middle of a segment costs exactly that job: it loads
+// kCorrupt and re-executes, every other job still hits, and the rerun's
+// fresh line shadows the bad one for the next open.
 TEST(Engine, CorruptCacheEntryIsReExecutedAndHealed) {
   const std::string dir = temp_dir();
   const Manifest m = suite_manifest();
@@ -250,38 +418,29 @@ TEST(Engine, CorruptCacheEntryIsReExecutedAndHealed) {
   opt.threads = 2;
   opt.result_cache = &cache;
   const std::string baseline = aggregate_of(m, run_batch(m, opt));
-  const std::size_t entries = count_entries(dir, ".cpr");
-  ASSERT_GT(entries, 0u);
+  const std::vector<std::string> segments = segment_files(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  flip_byte_in_line(segments[0], num_jobs / 2);
 
-  // Garble one entry; the warm run re-executes exactly that job and
-  // re-publishes it, bytes unchanged.
-  std::string victim;
-  if (DIR* d = opendir(dir.c_str())) {
-    while (const dirent* entry = readdir(d)) {
-      if (std::strstr(entry->d_name, ".cpr") != nullptr) {
-        victim = dir + "/" + entry->d_name;
-      }
-    }
-    closedir(d);
-  }
-  {
-    std::FILE* f = std::fopen(victim.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 50, SEEK_SET), 0);
-    const int c = std::fgetc(f);
-    ASSERT_EQ(std::fseek(f, 50, SEEK_SET), 0);
-    std::fputc(c ^ 0x11, f);
-    std::fclose(f);
-  }
   ResultCache healed(dir);
   BatchOptions warm;
   warm.threads = 2;
   warm.result_cache = &healed;
   const BatchResult batch = run_batch(m, warm);
-  EXPECT_LT(batch.cache_hit_jobs, num_jobs);
-  EXPECT_GE(healed.counters().corrupt.load(), 1u);
+  EXPECT_EQ(healed.counters().corrupt.load(), 1u);
+  EXPECT_EQ(healed.counters().hits.load(), num_jobs - 1);
+  EXPECT_EQ(batch.cache_hit_jobs, num_jobs - 1);
+  EXPECT_EQ(healed.counters().stores.load(), 1u);
   EXPECT_EQ(aggregate_of(m, batch), baseline);
-  EXPECT_EQ(count_entries(dir, ".cpr"), entries);  // re-published
+
+  ResultCache rerun(dir);
+  BatchOptions again;
+  again.threads = 2;
+  again.result_cache = &rerun;
+  const BatchResult healed_batch = run_batch(m, again);
+  EXPECT_EQ(healed_batch.cache_hit_jobs, num_jobs);
+  EXPECT_EQ(rerun.counters().corrupt.load(), 0u);
+  EXPECT_EQ(aggregate_of(m, healed_batch), baseline);
 }
 
 // ---- Concurrency: threads and processes ----------------------------------
@@ -290,7 +449,7 @@ TEST(ResultCache, ConcurrentThreadReadersAndWritersStaySafe) {
   const std::string dir = temp_dir();
   const Manifest m = suite_manifest();
   const std::vector<Job> jobs = expand_manifest(m);
-  const ResultCache cache(dir);
+  ResultCache cache(dir);
   JobResult canonical;
   canonical.verdict = Verdict::kReject;
   canonical.rounds = 17;
@@ -319,7 +478,7 @@ TEST(ResultCache, ConcurrentThreadReadersAndWritersStaySafe) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(bad.load());
-  EXPECT_EQ(count_entries(dir, ".cpr.tmp"), 0u);
+  EXPECT_EQ(segment_files(dir).size(), 1u);  // every thread, one segment
 }
 
 TEST(ResultCache, ConcurrentProcessWritersNeverPublishTornEntries) {
@@ -334,7 +493,7 @@ TEST(ResultCache, ConcurrentProcessWritersNeverPublishTornEntries) {
   const pid_t pid = fork();
   ASSERT_NE(pid, -1);
   if (pid == 0) {
-    const ResultCache mine(dir);
+    ResultCache mine(dir);
     for (int round = 0; round < 30; ++round) {
       for (const Job& job : jobs) {
         if (!mine.store(job, canonical)) _exit(1);
@@ -342,7 +501,7 @@ TEST(ResultCache, ConcurrentProcessWritersNeverPublishTornEntries) {
     }
     _exit(0);
   }
-  const ResultCache cache(dir);
+  ResultCache cache(dir);
   JobResult probe;
   for (int round = 0; round < 30; ++round) {
     for (const Job& job : jobs) {
@@ -359,12 +518,69 @@ TEST(ResultCache, ConcurrentProcessWritersNeverPublishTornEntries) {
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
-  EXPECT_EQ(count_entries(dir, ".cpr.tmp"), 0u);
-  // Post-quiesce, every entry is a hit with the canonical bytes.
+  EXPECT_EQ(segment_files(dir).size(), 2u);  // one per writer process
+  // Post-quiesce, every entry is a hit with the canonical bytes, both in
+  // the surviving writer and in a fresh open.
+  ResultCache fresh(dir);
+  for (const ResultCache* reader : {&cache, &fresh}) {
+    for (const Job& job : jobs) {
+      ASSERT_EQ(reader->load(job, &probe), ResultCache::LoadStatus::kHit);
+      EXPECT_EQ(render_journal_record(job, probe),
+                render_journal_record(job, canonical));
+    }
+  }
+}
+
+// Forked writers that exit without flushing (their lines are written,
+// not yet synced): a fresh open sees the union of their stores, never a
+// corrupt line. More than kMaxDeadSegments dead writers' segments are
+// compacted into one on that open, and the result reads back the same.
+TEST(ResultCache, ForkedWritersUnionIsSeenByAFreshOpen) {
+  const std::string dir = temp_dir();
+  const Manifest m = suite_manifest();
+  const std::vector<Job> jobs = expand_manifest(m);
+  constexpr std::size_t kWriters = ResultCache::kMaxDeadSegments + 2;
+  std::vector<pid_t> pids;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    const pid_t pid = fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+      ResultCache mine(dir);
+      JobResult r;
+      r.verdict = Verdict::kAccept;
+      for (std::size_t j = w; j < jobs.size(); j += kWriters) {
+        r.rounds = jobs[j].job_index + 7;
+        if (!mine.store(jobs[j], r)) _exit(1);
+      }
+      r.rounds = jobs[0].job_index + 7;  // every writer also stores job 0
+      _exit(mine.store(jobs[0], r) ? 0 : 1);
+    }
+    pids.push_back(pid);
+  }
+  for (const pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+  }
+  ASSERT_EQ(segment_files(dir).size(), kWriters);
+
+  JobResult probe;
+  {
+    ResultCache cache(dir);
+    EXPECT_EQ(cache.counters().compactions.load(), 1u);
+    EXPECT_EQ(segment_files(dir).size(), 1u);
+    for (const Job& job : jobs) {
+      ASSERT_EQ(cache.load(job, &probe), ResultCache::LoadStatus::kHit);
+      EXPECT_EQ(probe.rounds, job.job_index + 7u);
+    }
+    EXPECT_EQ(cache.counters().corrupt.load(), 0u);
+  }
+  ResultCache reopened(dir);
+  EXPECT_EQ(reopened.counters().compactions.load(), 0u);
   for (const Job& job : jobs) {
-    ASSERT_EQ(cache.load(job, &probe), ResultCache::LoadStatus::kHit);
-    EXPECT_EQ(render_journal_record(job, probe),
-              render_journal_record(job, canonical));
+    ASSERT_EQ(reopened.load(job, &probe), ResultCache::LoadStatus::kHit);
+    EXPECT_EQ(probe.rounds, job.job_index + 7u);
   }
 }
 
@@ -521,6 +737,7 @@ TEST(Service, ServesRunsAndRepeatSweepsComeEntirelyFromCache) {
   const std::string snapshot = metrics_msg.find("metrics")->as_string();
   EXPECT_NE(snapshot.find("serve/runs"), std::string::npos);
   EXPECT_NE(snapshot.find("serve/cache_hits"), std::string::npos);
+  EXPECT_NE(snapshot.find("serve/cache_syncs"), std::string::npos);
 
   ASSERT_TRUE(send_all(fd, "{\"op\": \"shutdown\"}\n"));
   server.join();

@@ -20,7 +20,8 @@
 //                                           and freshly executed results
 //                                           are stored; the aggregate stays
 //                                           byte-identical either way
-//       [--cache-max-entries=N]             FIFO-evict past N entries
+//       [--cache-max-entries=N]             keep the newest N entries
+//                                           (enforced at open and run end)
 //       [--server=SOCK]                     thin-client mode: send the
 //                                           manifest to a cpt_serve daemon
 //                                           on SOCK and relay its byte-
@@ -525,7 +526,8 @@ int cmd_run(const std::string& path, BatchOptions options,
       !write_text_file(
           timing_path,
           render_timing_json(manifest, batch, cells,
-                             session ? &session->metrics() : nullptr))) {
+                             session ? &session->metrics() : nullptr,
+                             options.result_cache))) {
     std::fprintf(stderr, "error: cannot write %s\n", timing_path.c_str());
     return 1;
   }

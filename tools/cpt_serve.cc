@@ -8,8 +8,9 @@
 //                                            sweeps are served without
 //                                            re-simulating (aggregates stay
 //                                            byte-identical)
-//       [--cache-max-entries=N]              FIFO-evict the oldest entries
-//                                            past N (0 = unbounded)
+//       [--cache-max-entries=N]              keep the newest N entries,
+//                                            enforced at open and after each
+//                                            run (0 = unbounded)
 //       [--threads=N]                        shared pool width (0 = env)
 //       [--sim-threads-policy=P]             default core split; a request
 //                                            may override per run
