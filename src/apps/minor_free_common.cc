@@ -33,6 +33,7 @@ MinorFreePartition minor_free_partition(congest::Simulator& sim, const Graph& g,
     s1.adaptive = opt.adaptive_phases;
     s1.pipelined_streams = opt.pipelined_streams;
     s1.scratch = opt.scratch;
+    s1.shared = opt.shared_stage1;
     Stage1Result r = run_stage1(sim, g, s1, ledger);
     out.rejected = r.rejected;
     out.rejecting_nodes = std::move(r.rejecting_nodes);

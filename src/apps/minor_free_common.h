@@ -15,6 +15,7 @@
 namespace cpt {
 
 struct Stage1Scratch;  // partition/partition.h
+struct SharedStage1;   // partition/partition.h
 
 struct MinorFreeOptions {
   double epsilon = 0.1;
@@ -34,6 +35,10 @@ struct MinorFreeOptions {
   // Stage I scratch. nullptr = fresh allocations; identical results.
   congest::SimMemory* sim_memory = nullptr;
   Stage1Scratch* scratch = nullptr;
+  // Optional earlier deterministic Stage I run on this graph with the
+  // options above, replayed instead of simulated (Stage1Options::shared).
+  // Ignored by the randomized variant.
+  const SharedStage1* shared_stage1 = nullptr;
   // Optional trace track: per-pass ledger spans + simulator events land
   // here (see util/trace.h). nullptr = no tracing.
   util::TraceBuffer* trace = nullptr;

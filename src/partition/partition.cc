@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "partition/forest_decomposition.h"
 #include "partition/merge.h"
@@ -50,6 +51,11 @@ std::uint32_t stage1_theory_phase_count(double epsilon, std::uint32_t alpha) {
 
 Stage1Result run_stage1(congest::Simulator& sim, const Graph& g,
                         const Stage1Options& opt, congest::RoundLedger& ledger) {
+  if (opt.shared != nullptr) {
+    ledger.add_pass("stage1/shared", opt.shared->rounds,
+                    opt.shared->messages);
+    return opt.shared->result;
+  }
   Stage1Result result;
   result.forest = PartForest::singletons(g.num_nodes());
   result.phases_total = opt.phase_override != 0
@@ -65,8 +71,9 @@ Stage1Result run_stage1(congest::Simulator& sim, const Graph& g,
   peel_opt.pipelined = opt.pipelined_streams;
   // Peeling/merge buffers amortized across phases -- and, when the caller
   // supplies pooled scratch, across runs.
-  Stage1Scratch local_scratch;
-  Stage1Scratch& scr = opt.scratch != nullptr ? *opt.scratch : local_scratch;
+  std::optional<Stage1Scratch> local_scratch;
+  Stage1Scratch& scr =
+      opt.scratch != nullptr ? *opt.scratch : local_scratch.emplace();
   PeelingResult& peel = scr.peel;
   PeelScratch& peel_scratch = scr.peel_scratch;
   MergeScratch& merge_scratch = scr.merge_scratch;

@@ -27,6 +27,8 @@ struct Stage1Scratch {
   MergeScratch merge_scratch;
 };
 
+struct SharedStage1;  // below
+
 struct Stage1Options {
   double epsilon = 0.1;              // edge-cut parameter
   std::uint32_t alpha = 3;           // arboricity bound (3 for planar)
@@ -42,6 +44,9 @@ struct Stage1Options {
   // Optional pooled scratch reused across runs (see Stage1Scratch).
   // nullptr = per-run locals; results are identical either way.
   Stage1Scratch* scratch = nullptr;
+  // Optional result of an earlier run on the same graph with the same
+  // options (see SharedStage1). nullptr = simulate.
+  const SharedStage1* shared = nullptr;
 };
 
 struct PhaseStats {
@@ -61,6 +66,20 @@ struct Stage1Result {
   std::uint32_t phases_emulated = 0;    // phases actually simulated
   std::uint32_t phases_total = 0;       // including fast-forwarded ones
   std::vector<PhaseStats> phase_stats;
+};
+
+// One Stage I run kept for replay. Stage I is deterministic -- its
+// partition, verdict and round/message cost are functions of the graph and
+// the options alone -- so a run with Stage1Options::shared set simulates
+// nothing: it charges one "stage1/shared" ledger pass carrying these totals
+// and returns a copy of `result`, bit-identical to simulating it again.
+// The batch engine runs each Stage I input its jobs share once and hands
+// the result to every such job. A round budget (SimOptions::max_rounds) is
+// not enforced by a replay; callers only share budget-free runs.
+struct SharedStage1 {
+  Stage1Result result;
+  std::uint64_t rounds = 0;    // the run's ledger total
+  std::uint64_t messages = 0;  // the run's ledger total
 };
 
 // Number of phases guaranteeing residual cut <= eps*m/2 when no reject

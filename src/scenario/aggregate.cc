@@ -25,7 +25,13 @@ QuantileSummary summarize(std::vector<std::uint64_t> values) {
 }
 
 StreamingAggregator::StreamingAggregator(const std::vector<Job>& jobs) {
-  for (const Job& job : jobs) ++expected_[job.cell_key()];
+  jobs_.reserve(jobs.size());
+  for (const Job& job : jobs) {
+    JobIdentity id = job.identity();
+    const auto it = expected_.try_emplace(std::move(id.cell_key), 0).first;
+    ++it->second;
+    jobs_.push_back({&*it, id.instance_hash});
+  }
 }
 
 void StreamingAggregator::finalize(std::size_t index) {
@@ -44,7 +50,9 @@ void StreamingAggregator::finalize(std::size_t index) {
 
 void StreamingAggregator::consume(const Job& job, const JobResult& result) {
   ++consumed_jobs_;
-  std::string key = job.cell_key();
+  CPT_EXPECTS(job.job_index < jobs_.size());
+  const JobKeys& keys = jobs_[job.job_index];
+  const std::string& key = keys.cell->first;
   const std::uint32_t seen = ++consumed_[key];
   if (result.failed || result.timed_out) {
     // Neither contributes values to a cell; both still tick the per-key
@@ -55,7 +63,7 @@ void StreamingAggregator::consume(const Job& job, const JobResult& result) {
       ++failed_jobs_;
     }
   } else {
-    auto [it, fresh] = index_.emplace(std::move(key), cells_.size());
+    auto [it, fresh] = index_.emplace(key, cells_.size());
     if (fresh) {
       CellAggregate cell;
       cell.key = it->first;
@@ -86,10 +94,9 @@ void StreamingAggregator::consume(const Job& job, const JobResult& result) {
     cell.wall_seconds += result.wall_seconds;
     acc.rounds.push_back(result.rounds);
     acc.messages.push_back(result.messages);
-    acc.instance_hashes.insert(job.instance.hash());
-    key = cell.key;  // emplace may have consumed the local above
+    acc.instance_hashes.insert(keys.instance_hash);
   }
-  if (seen == expected_[key]) {
+  if (seen == keys.cell->second) {
     const auto it = index_.find(key);
     if (it != index_.end() && accums_[it->second].open) {
       finalize(it->second);
@@ -262,6 +269,11 @@ std::string render_timing_json(const Manifest& manifest,
   out += ", \"total_retries\": " + json_render_uint(batch.total_retries);
   out += ", \"resumed_jobs\": " + json_render_uint(batch.resumed_jobs);
   out += ", \"cache_hit_jobs\": " + json_render_uint(batch.cache_hit_jobs);
+  // Stage I sharing: runs made once for a group of jobs, and the jobs
+  // that replayed one.
+  out += ",\n  \"stage1\": {\"runs\": " + json_render_uint(batch.stage1_runs);
+  out += ", \"shared_jobs\": " + json_render_uint(batch.stage1_shared_jobs);
+  out += "}";
   out += ",\n  \"corpus\": {\"unique_instances\": " +
          json_render_uint(batch.corpus.unique_instances);
   out += ", \"disk_hits\": " + json_render_uint(batch.corpus.disk_hits);

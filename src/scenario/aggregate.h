@@ -72,15 +72,20 @@ class StreamingAggregator {
  public:
   // `jobs` is the full expanded job list: per-cell job counts are
   // precomputed from it so a cell finalizes exactly when its last job is
-  // consumed.
+  // consumed, and each job's cell key and instance hash are rendered here,
+  // once, for consume() to look up by job_index.
   explicit StreamingAggregator(const std::vector<Job>& jobs);
+  // Not copyable: jobs_ points into expected_.
+  StreamingAggregator(const StreamingAggregator&) = delete;
+  StreamingAggregator& operator=(const StreamingAggregator&) = delete;
 
   // Invoked once per completed cell, in first-seen (expansion) order.
   using CellSink = std::function<void(const CellAggregate&)>;
   void set_cell_sink(CellSink sink) { cell_sink_ = std::move(sink); }
 
-  // Feed every (job, result) pair in job-index order. Safe to call from
-  // the engine's streaming sink (already serialized).
+  // Feed every (job, result) pair in job-index order; `job` must be the
+  // constructor's jobs[job.job_index]. Safe to call from the engine's
+  // streaming sink (already serialized).
   void consume(const Job& job, const JobResult& result);
 
   // Call after the last consume: defensively finalizes and flushes any
@@ -110,6 +115,13 @@ class StreamingAggregator {
   void finalize(std::size_t index);
 
   std::unordered_map<std::string, std::uint32_t> expected_;  // key -> jobs
+  // Per job_index: its expected_ entry (node addresses are stable) and its
+  // instance hash.
+  struct JobKeys {
+    const std::pair<const std::string, std::uint32_t>* cell;
+    std::uint64_t instance_hash;
+  };
+  std::vector<JobKeys> jobs_;
   std::unordered_map<std::string, std::uint32_t> consumed_;
   std::unordered_map<std::string, std::size_t> index_;
   std::vector<CellAggregate> cells_;

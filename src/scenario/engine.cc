@@ -4,11 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "apps/bipartite.h"
 #include "apps/cycle_free.h"
@@ -19,6 +23,7 @@
 #include "scenario/faultinject.h"
 #include "scenario/registry.h"
 #include "scenario/result_cache.h"
+#include "util/contracts.h"
 #include "util/parallel.h"
 
 namespace cpt::scenario {
@@ -67,8 +72,37 @@ bool parse_sim_threads_policy(const std::string& name, SimThreadsPolicy* out) {
   return true;
 }
 
+Stage1Options stage1_options(const Job& job) {
+  Stage1Options opt;
+  opt.epsilon = job.epsilon;
+  // The planarity tester always runs Stage I at its default alpha = 3
+  // (planar graphs have arboricity <= 3); the manifest's alpha reaches
+  // only the minor-free testers and the bare partition.
+  if (job.tester != TesterKind::kPlanarity) opt.alpha = job.alpha;
+  opt.adaptive = job.adaptive;
+  opt.pipelined_streams = job.pipelined;
+  return opt;
+}
+
+bool stage1_shareable(const Job& job) {
+  if (job.max_rounds != 0) return false;
+  switch (job.tester) {
+    case TesterKind::kPlanarity:
+    case TesterKind::kStage1Partition:
+      return true;
+    case TesterKind::kCycleFree:
+    case TesterKind::kBipartite:
+      return !job.randomized;
+    case TesterKind::kRandomPartition:
+      return false;
+  }
+  return false;
+}
+
 JobResult run_job(const Job& job, const Graph& g, RunState* state,
-                  util::TraceBuffer* trace) {
+                  util::TraceBuffer* trace,
+                  const SharedStage1* shared_stage1) {
+  CPT_EXPECTS(shared_stage1 == nullptr || stage1_shareable(job));
   JobResult r;
   r.n = g.num_nodes();
   r.m = g.num_edges();
@@ -89,9 +123,9 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         opt.num_threads = job.sim_threads;
         opt.max_rounds = job.max_rounds;
         opt.sim_memory = mem;
-        opt.stage1.adaptive = job.adaptive;
-        opt.stage1.pipelined_streams = job.pipelined;
+        opt.stage1 = stage1_options(job);
         opt.stage1.scratch = scratch;
+        opt.stage1.shared = shared_stage1;
         opt.trace = trace;
         const TesterResult tr = test_planarity(g, opt);
         r.verdict = tr.verdict;
@@ -107,18 +141,21 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
       }
       case TesterKind::kCycleFree:
       case TesterKind::kBipartite: {
+        // minor_free_partition rebuilds exactly these Stage I options.
+        const Stage1Options s1 = stage1_options(job);
         MinorFreeOptions opt;
-        opt.epsilon = job.epsilon;
-        opt.alpha = job.alpha;
+        opt.epsilon = s1.epsilon;
+        opt.alpha = s1.alpha;
         opt.randomized = job.randomized;
         opt.delta = job.delta;
         opt.seed = job.tester_seed;
-        opt.adaptive_phases = job.adaptive;
-        opt.pipelined_streams = job.pipelined;
+        opt.adaptive_phases = s1.adaptive;
+        opt.pipelined_streams = s1.pipelined_streams;
         opt.num_threads = job.sim_threads;
         opt.max_rounds = job.max_rounds;
         opt.sim_memory = mem;
         opt.scratch = scratch;
+        opt.shared_stage1 = shared_stage1;
         opt.trace = trace;
         const AppResult ar = job.tester == TesterKind::kCycleFree
                                  ? test_cycle_freeness(g, opt)
@@ -142,12 +179,9 @@ JobResult run_job(const Job& job, const Graph& g, RunState* state,
         congest::Simulator sim(net, sopt);
         congest::RoundLedger ledger;
         ledger.set_trace(trace);
-        Stage1Options opt;
-        opt.epsilon = job.epsilon;
-        opt.alpha = job.alpha;
-        opt.adaptive = job.adaptive;
-        opt.pipelined_streams = job.pipelined;
+        Stage1Options opt = stage1_options(job);
         opt.scratch = scratch;
+        opt.shared = shared_stage1;
         const Stage1Result sr = run_stage1(sim, g, opt, ledger);
         r.verdict = sr.rejected ? Verdict::kReject : Verdict::kAccept;
         r.rounds = ledger.total_rounds();
@@ -241,8 +275,9 @@ namespace {
 // outcome.
 JobResult run_job_retrying(const Job& job, const Graph& g,
                            const BatchOptions& options, RunState* state,
-                           util::TraceBuffer* trace = nullptr) {
-  JobResult r = run_job(job, g, state, trace);
+                           util::TraceBuffer* trace,
+                           const SharedStage1* shared_stage1) {
+  JobResult r = run_job(job, g, state, trace, shared_stage1);
   std::uint32_t attempts = 0;
   while (r.failed && is_transient_error(r.error) &&
          attempts < options.max_retries) {
@@ -259,7 +294,7 @@ JobResult run_job_retrying(const Job& job, const Graph& g,
       std::this_thread::sleep_for(
           std::chrono::milliseconds(options.retry_backoff_ms * attempts));
     }
-    r = run_job(job, g, state, trace);
+    r = run_job(job, g, state, trace, shared_stage1);
     r.retries = attempts;
   }
   return r;
@@ -296,19 +331,54 @@ bool materialize_instance(const CorpusStore& store,
   return false;
 }
 
-// Runs the execute-phase pool with a "batch/execute" span on the batch
-// track when tracing. During the pool run nothing else writes track 0
-// (workers write their own job tracks), so the span bracketing is safe.
+// Runs the Stage I of `job` exactly as its tester would (same options,
+// a simulator of its own) and keeps the result with the ledger totals that
+// every job sharing it replays (Stage1Options::shared).
+SharedStage1 run_shared_stage1(const Job& job, const Graph& g,
+                               unsigned sim_threads, RunState* state,
+                               util::TraceBuffer* trace) {
+  congest::Network net(g);
+  congest::SimOptions sopt;
+  sopt.num_threads = sim_threads;
+  sopt.memory = &state->sim_memory;
+  sopt.trace = trace;
+  congest::Simulator sim(net, sopt);
+  congest::RoundLedger ledger;
+  ledger.set_trace(trace);
+  Stage1Options opt = stage1_options(job);
+  opt.scratch = &state->stage1;
+  SharedStage1 out;
+  out.result = run_stage1(sim, g, opt, ledger);
+  out.rounds = ledger.total_rounds();
+  out.messages = ledger.total_messages();
+  return out;
+}
+
+std::string stage1_track_label(const ScenarioInstance& instance,
+                               const Stage1Options& opt) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, " eps=%.17g alpha=%u", opt.epsilon,
+                static_cast<unsigned>(opt.alpha));
+  std::string label = "stage1 " + instance.label_with_seed() + buf;
+  if (opt.adaptive) label += " adaptive";
+  if (!opt.pipelined_streams) label += " unpipelined";
+  return label;
+}
+
+// Runs a pool phase under a `span_name` span on the batch track when
+// tracing. During the pool run nothing else writes track 0 (workers write
+// their own tracks), so the span bracketing is safe.
 template <typename Fn>
-void run_execute_phase(util::TraceBuffer* batch_track, WorkerPool& pool,
-                       Fn&& fn) {
+void run_phase(util::TraceBuffer* batch_track, WorkerPool& pool,
+               const char* span_name, Fn&& fn,
+               util::TraceArgs args = util::TraceArgs()) {
   if (batch_track == nullptr) {
     pool.run(fn);
     return;
   }
   const std::uint64_t start = batch_track->now_ns();
   pool.run(fn);
-  batch_track->complete_span("batch/execute", start);
+  batch_track->complete_span(span_name, start, std::move(args));
 }
 
 BatchResult run_batch_impl(const Manifest& manifest,
@@ -382,32 +452,10 @@ BatchResult run_batch_impl(const Manifest& manifest,
                                static_cast<double>(batch_workers));
   }
 
-  // Unique instances (by hash), in first-job order, and the job -> slot map.
-  struct Slot {
-    ScenarioInstance instance;
-    Graph graph;
-    bool from_disk = false;
-    bool corrupt_file = false;
-    std::string error;  // materialization failure: all its jobs fail
-  };
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> job_slot(out.jobs.size());
-  {
-    std::unordered_map<std::uint64_t, std::uint32_t> by_hash;
-    for (std::size_t j = 0; j < out.jobs.size(); ++j) {
-      const std::uint64_t h = out.jobs[j].instance.hash();
-      auto [it, fresh] =
-          by_hash.emplace(h, static_cast<std::uint32_t>(slots.size()));
-      if (fresh) slots.push_back({out.jobs[j].instance, Graph{}, false, false, {}});
-      job_slot[j] = it->second;
-    }
-  }
-  out.corpus.unique_instances = slots.size();
-
-  const CorpusStore store(options.corpus_dir);
-  // Materialization is instance-parallel under every policy (no simulator
-  // runs yet), so the pool spans all cores; only the execute phase narrows
-  // to batch_workers. A donated external pool (cpt_serve) is reused as-is;
+  // Identity rendering, cache lookups and materialization are parallel
+  // under every policy (no simulator runs yet), so the pool spans all
+  // cores; only the Stage I sharing and execute phases narrow to
+  // batch_workers. A donated external pool (cpt_serve) is reused as-is;
   // otherwise the batch owns one for the call.
   std::optional<WorkerPool> owned_pool;
   if (options.pool == nullptr) owned_pool.emplace(cores);
@@ -417,6 +465,48 @@ BatchResult run_batch_impl(const Manifest& manifest,
     return options.cancel != nullptr &&
            options.cancel->load(std::memory_order_relaxed);
   };
+
+  // Every job's instance hash and cell_key, rendered once for the whole
+  // batch: the slot map, the result cache's loads and stores, and the job
+  // track labels all read them from here.
+  std::vector<JobIdentity> ids(out.jobs.size());
+  {
+    std::atomic<std::uint32_t> cursor{0};
+    pool.run([&](unsigned) {
+      while (true) {
+        const std::uint32_t j = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (j >= out.jobs.size()) return;
+        ids[j] = out.jobs[j].identity();
+      }
+    });
+  }
+
+  // Unique instances (by hash), in first-job order, and the job -> slot map.
+  struct Slot {
+    ScenarioInstance instance;
+    Graph graph;
+    bool ready = false;  // materialized without error
+    bool from_disk = false;
+    bool corrupt_file = false;
+    std::string error;  // materialization failure: all its jobs fail
+  };
+  std::vector<Slot> slots;
+  std::vector<std::uint32_t> job_slot(out.jobs.size());
+  {
+    std::unordered_map<std::uint64_t, std::uint32_t> by_hash;
+    for (std::size_t j = 0; j < out.jobs.size(); ++j) {
+      auto [it, fresh] = by_hash.emplace(
+          ids[j].instance_hash, static_cast<std::uint32_t>(slots.size()));
+      if (fresh) {
+        slots.push_back(
+            {out.jobs[j].instance, Graph{}, false, false, false, {}});
+      }
+      job_slot[j] = it->second;
+    }
+  }
+  out.corpus.unique_instances = slots.size();
+
+  const CorpusStore store(options.corpus_dir);
   const auto resumed_job = [&](std::uint32_t j) {
     return options.completed != nullptr &&
            options.completed->count(j) != 0;
@@ -443,7 +533,8 @@ BatchResult run_batch_impl(const Manifest& manifest,
         if (j >= out.jobs.size()) return;
         if (resumed_job(j)) continue;  // journal replay wins; no I/O
         JobResult r;
-        if (cache->load(out.jobs[j], &r) == ResultCache::LoadStatus::kHit) {
+        if (cache->load(out.jobs[j], ids[j], &r) ==
+            ResultCache::LoadStatus::kHit) {
           cache_results[j] = std::move(r);
           cache_hit[j] = 1;
         }
@@ -516,7 +607,8 @@ BatchResult run_batch_impl(const Manifest& manifest,
           } catch (const std::exception& e) {
             slot.error = e.what();
           }
-          if (slot.error.empty() || !is_transient_error(slot.error) ||
+          slot.ready = slot.error.empty();
+          if (slot.ready || !is_transient_error(slot.error) ||
               attempt >= options.max_retries) {
             break;
           }
@@ -558,17 +650,10 @@ BatchResult run_batch_impl(const Manifest& manifest,
         }
       }
     };
-    if (batch_track != nullptr) {
-      const std::uint64_t mstart = batch_track->now_ns();
-      pool.run(materialize);
-      batch_track->complete_span(
-          "batch/materialize", mstart,
-          util::TraceArgs().add(
-              "unique_instances",
-              static_cast<std::uint64_t>(slots.size())));
-    } else {
-      pool.run(materialize);
-    }
+    run_phase(batch_track, pool, "batch/materialize", materialize,
+              util::TraceArgs().add(
+                  "unique_instances",
+                  static_cast<std::uint64_t>(slots.size())));
   }
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (slot_needed[i] == 0) {
@@ -585,6 +670,117 @@ BatchResult run_batch_impl(const Manifest& manifest,
   // Materialization re-runs count toward the degradation totals (no
   // retried_jobs tick: that counter is per job, not per instance).
   out.total_retries += materialize_retries.load(std::memory_order_relaxed);
+
+  // One pooled RunState per batch worker, reused across every Stage I run
+  // and job that worker claims (never shared concurrently: worker w
+  // touches states[w] only). Allocation reuse only -- results stay
+  // schedule-independent.
+  std::vector<RunState> states(cores);
+
+  // Phase 1b: Stage I sharing. Stage I is deterministic -- its partition,
+  // verdict and cost are functions of the graph and stage1_options(job)
+  // alone; the tester seed feeds Stage II only -- so every trial and every
+  // deterministic tester of an instance repeats one Stage I run. Jobs
+  // still to execute are grouped by (slot, Stage I options); each group of
+  // two or more runs its Stage I once here, and its jobs replay the result
+  // (run_stage1's stage1/shared pass) with bit-identical results. A group
+  // of one simulates its Stage I inside its job. Groups, their order and
+  // their track ids derive from the job list and phases 0 and 1 alone, so
+  // they are schedule-deterministic. A group whose run throws is simply
+  // not shared: its jobs simulate Stage I themselves, with the usual
+  // per-job failure and retry handling.
+  struct SharedGroup {
+    std::uint32_t owner = 0;  // first job of the group
+    std::uint32_t jobs = 0;
+    SharedStage1 run;
+    bool ok = false;
+  };
+  constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
+  std::vector<SharedGroup> groups;
+  std::vector<std::uint32_t> job_group(out.jobs.size(), kNoGroup);
+  {
+    using Key = std::tuple<std::uint32_t, double, std::uint32_t, std::uint32_t,
+                           std::uint32_t, bool, bool>;
+    std::map<Key, std::vector<std::uint32_t>> by_key;  // key -> its jobs
+    for (std::uint32_t j = 0; j < out.jobs.size(); ++j) {
+      const Job& job = out.jobs[j];
+      if (!stage1_shareable(job) || resumed_job(j) || cache_hit_job(j) ||
+          !slots[job_slot[j]].ready) {
+        continue;
+      }
+      const Stage1Options s1 = stage1_options(job);
+      by_key[Key{job_slot[j], s1.epsilon, s1.alpha, s1.phase_override,
+                 s1.peel_super_rounds, s1.adaptive, s1.pipelined_streams}]
+          .push_back(j);
+    }
+    // Groups in key order (slot first, and slots are in first-job order).
+    for (const auto& [key, jobs] : by_key) {
+      if (jobs.size() < 2) continue;
+      for (const std::uint32_t j : jobs) {
+        job_group[j] = static_cast<std::uint32_t>(groups.size());
+      }
+      groups.push_back({jobs.front(), static_cast<std::uint32_t>(jobs.size()),
+                        SharedStage1{}, false});
+    }
+  }
+  if (!groups.empty()) {
+    std::atomic<std::uint32_t> cursor{0};
+    auto share = [&](unsigned w) {
+      if (w >= batch_workers) return;  // the execute phase's core split
+      while (!cancelled()) {
+        const std::uint32_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (k >= groups.size()) return;
+        SharedGroup& group = groups[k];
+        const Job& owner = out.jobs[group.owner];
+        const Slot& slot = slots[job_slot[group.owner]];
+        // Shared-run tracks follow the job tracks in id space.
+        util::TraceBuffer* track = nullptr;
+        std::size_t span = 0;
+        if (trace != nullptr) {
+          track = trace->make_track(
+              1 + slots.size() + out.jobs.size() + k,
+              stage1_track_label(slot.instance, stage1_options(owner)));
+          span = track->begin_span("shared_stage1");
+        }
+        std::string error;
+        try {
+          group.run = run_shared_stage1(
+              owner, slot.graph,
+              sim_override != 0 ? sim_override : owner.sim_threads,
+              &states[w], track);
+          group.ok = true;
+        } catch (const std::exception& e) {
+          error = e.what();
+        }
+        if (track != nullptr) {
+          util::TraceArgs args;
+          args.add("jobs", group.jobs);
+          if (group.ok) {
+            args.add("rounds", group.run.rounds)
+                .add("messages", group.run.messages);
+          } else {
+            args.add("error", error);
+          }
+          track->end_span(span, std::move(args));
+        }
+      }
+    };
+    run_phase(batch_track, pool, "batch/stage1", share,
+              util::TraceArgs().add("groups", static_cast<std::uint64_t>(
+                                                  groups.size())));
+    for (const SharedGroup& group : groups) {
+      if (!group.ok) continue;
+      ++out.stage1_runs;
+      out.stage1_shared_jobs += group.jobs;
+    }
+  }
+  // Per-worker busy nanoseconds (time inside produce), sampled only when
+  // tracing; flushed to an rt/ histogram after the pool joins.
+  std::vector<std::uint64_t> busy_ns(cores, 0);
+  const auto shared_stage1 = [&](std::uint32_t j) -> const SharedStage1* {
+    const std::uint32_t k = job_group[j];
+    return k != kNoGroup && groups[k].ok ? &groups[k].run : nullptr;
+  };
 
   // Phase 2: run the jobs. Claiming order is racy; result placement is by
   // job slot, so the result array is schedule-independent.
@@ -604,7 +800,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
     if (trace != nullptr) {
       job_track = trace->make_track(
           1 + slots.size() + j,
-          "job " + std::to_string(j) + " " + out.jobs[j].cell_key() + " i" +
+          "job " + std::to_string(j) + " " + ids[j].cell_key + " i" +
               std::to_string(out.jobs[j].instance_index) + " t" +
               std::to_string(out.jobs[j].trial));
     }
@@ -634,18 +830,12 @@ BatchResult run_batch_impl(const Manifest& manifest,
     if (sim_override != 0) {
       Job job = out.jobs[j];
       job.sim_threads = sim_override;
-      return run_job_retrying(job, slot.graph, options, state, job_track);
+      return run_job_retrying(job, slot.graph, options, state, job_track,
+                              shared_stage1(j));
     }
     return run_job_retrying(out.jobs[j], slot.graph, options, state,
-                            job_track);
+                            job_track, shared_stage1(j));
   };
-  // One pooled RunState per batch worker, reused across every job that
-  // worker claims (never shared concurrently: worker w touches states[w]
-  // only). Allocation reuse only -- results stay schedule-independent.
-  std::vector<RunState> states(cores);
-  // Per-worker busy nanoseconds (time inside produce), sampled only when
-  // tracing; flushed to an rt/ histogram after the pool joins.
-  std::vector<std::uint64_t> busy_ns(cores, 0);
   const auto mark_done = [&] {
     if (options.progress != nullptr) {
       options.progress->jobs_done.fetch_add(1, std::memory_order_relaxed);
@@ -677,7 +867,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
   const auto publish = [&](std::uint32_t j, const JobResult& r, bool resumed,
                            bool from_cache) {
     if (cache != nullptr && !resumed && !from_cache && !r.failed) {
-      cache->store(out.jobs[j], r);
+      cache->store(out.jobs[j], ids[j], r);
     }
   };
   if (sink == nullptr) {
@@ -707,7 +897,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
         mark_done();
       }
     };
-    run_execute_phase(batch_track, pool, execute);
+    run_phase(batch_track, pool, "batch/execute", execute);
     flush_busy();
     for (std::size_t j = 0; j < out.results.size(); ++j) {
       if (executed[j] == 0) {
@@ -793,7 +983,7 @@ BatchResult run_batch_impl(const Manifest& manifest,
         cv.notify_all();
       }
     };
-    run_execute_phase(batch_track, pool, execute);
+    run_phase(batch_track, pool, "batch/execute", execute);
     flush_busy();
     out.completed_jobs = next_retire;
     out.cancelled = next_retire < out.jobs.size();
@@ -822,6 +1012,8 @@ BatchResult run_batch_impl(const Manifest& manifest,
     m.add_counter("batch/retried_jobs", out.retried_jobs);
     m.add_counter("batch/total_retries", out.total_retries);
     m.add_counter("batch/cache_hit_jobs", out.cache_hit_jobs);
+    m.add_counter("batch/stage1_runs", out.stage1_runs);
+    m.add_counter("batch/stage1_shared_jobs", out.stage1_shared_jobs);
     m.add_counter("corpus/unique_instances", out.corpus.unique_instances);
     m.add_counter("corpus/disk_hits", out.corpus.disk_hits);
     m.add_counter("corpus/generated", out.corpus.generated);

@@ -12,6 +12,18 @@
 // (deduplicated by instance hash) are generated -- or loaded from the
 // corpus store -- in parallel, then shared read-only by all their jobs.
 //
+// Stage I is shared the same way. The deterministic Stage I (Theorem 3)
+// is a function of the graph and stage1_options(job) alone -- the tester
+// seed feeds Stage II only -- so between materialization and execution
+// the engine groups the jobs still to run by (instance, Stage I options),
+// runs each group of two or more once, in parallel, and every job of the
+// group replays that run (run_stage1's "stage1/shared" pass carries its
+// rounds and messages). Results, aggregates and trace bytes are
+// bit-identical to running every Stage I in its job; only repeated host
+// work goes away. Eligible: planarity, stage1_partition and deterministic
+// cycle_free/bipartite jobs without a round budget (stage1_shareable).
+// A group whose shared run throws is not shared. Always on.
+//
 // Two execution modes:
 //   * run_batch(manifest, options) retains every JobResult (slot i <->
 //     jobs[i]) -- what the migrated benches and most tests use;
@@ -39,7 +51,7 @@
 
 #include "congest/simulator.h"  // SimMemory
 #include "core/stage2.h"  // Verdict
-#include "partition/partition.h"  // PhaseStats, Stage1Scratch
+#include "partition/partition.h"  // PhaseStats, Stage1Scratch, SharedStage1
 #include "scenario/corpus.h"
 #include "scenario/manifest.h"
 #include "util/trace.h"
@@ -177,8 +189,10 @@ struct BatchOptions {
   WorkerPool* pool = nullptr;
   // Optional trace session (util/trace.h). The engine lays out tracks
   // deterministically -- 0 = batch phases, 1+slot = instance
-  // materialization, 1+num_slots+job_index = jobs -- so the rendered
-  // stream's non-timestamp bytes are identical at every --threads value.
+  // materialization, 1+num_slots+job_index = jobs, then
+  // 1+num_slots+num_jobs+group = shared Stage I runs (ordered by slot,
+  // then Stage I options) -- so the rendered stream's non-timestamp bytes
+  // are identical at every --threads value.
   // Schedule-dependent quantities (worker busy time, reorder-window
   // peaks, delivery-path tallies) go to the session registry under rt/
   // names. nullptr = no tracing.
@@ -213,6 +227,12 @@ struct BatchResult {
   // Like resumed_jobs, reported via the timing doc / CLI summary only:
   // the aggregate document is byte-identical either way.
   std::uint32_t cache_hit_jobs = 0;
+  // Stage I sharing: shared runs that completed, and the jobs that
+  // replayed one of them instead of simulating Stage I. Deterministic;
+  // reported via the timing doc and the trace metrics, never the
+  // aggregate document.
+  std::uint32_t stage1_runs = 0;
+  std::uint32_t stage1_shared_jobs = 0;
   // Cancellation (BatchOptions::cancel): true when the run stopped early.
   // completed_jobs is the retirement frontier -- every job below it went
   // through the sink exactly once; in a full run it equals jobs.size().
@@ -230,7 +250,8 @@ struct BatchResult {
 
 // Pooled per-worker run state: simulator buffers (flight payloads, inbox
 // shards, the intra-sim WorkerPool) and Stage I scratch (peeling +
-// merge-proposal arrays), reused across the jobs one batch worker claims.
+// merge-proposal arrays), reused across the jobs and shared Stage I runs
+// one batch worker claims.
 // Purely an allocation optimization: every pooled buffer is re-sized and
 // re-initialized by its consumer before use, so results are bit-identical
 // to fresh state at every --threads value (pinned by tests). A RunState
@@ -240,14 +261,31 @@ struct RunState {
   Stage1Scratch stage1;
 };
 
+// The exact Stage I options the job's tester runs with (run_job builds its
+// tester options from this, and the engine's Stage I sharing keys on it).
+// The planarity tester always runs at alpha = 3; job.alpha reaches only
+// cycle_free, bipartite and stage1_partition.
+Stage1Options stage1_options(const Job& job);
+
+// True when the job's Stage I may replay a shared run: planarity,
+// stage1_partition, and cycle_free/bipartite without `randomized`, all
+// with max_rounds == 0 (with a budget, where the job times out depends
+// on its whole run). random_partition and the randomized testers are
+// seed-dependent and never share.
+bool stage1_shareable(const Job& job);
+
 // Runs one job against a pre-built graph (also the single-simulation entry
 // point the migrated E1-E7 benches and the equivalence tests use).
 // Exceptions are captured into JobResult::failed/error. `state` (optional)
 // donates pooled buffers for the run and receives them back afterwards.
 // `trace` (optional) receives a "job" span wrapping per-pass ledger spans
 // and simulator events; it must be a track no other thread writes.
+// `shared_stage1` (optional; only for stage1_shareable jobs) is a Stage I
+// run on `g` with stage1_options(job), replayed instead of simulated --
+// the result is identical either way.
 JobResult run_job(const Job& job, const Graph& g, RunState* state = nullptr,
-                  util::TraceBuffer* trace = nullptr);
+                  util::TraceBuffer* trace = nullptr,
+                  const SharedStage1* shared_stage1 = nullptr);
 
 BatchResult run_batch(const Manifest& manifest, const BatchOptions& options);
 

@@ -32,29 +32,46 @@ bool parse_tester(std::string_view name, TesterKind* out) {
   return false;
 }
 
+namespace {
+
+// Appends cell_key's tester/epsilon/mode suffix to the instance label.
+void append_cell_key_suffix(const Job& job, std::string& key) {
+  key += '|';
+  key += tester_name(job.tester);
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "|eps=%.17g", job.epsilon);
+  key += buf;
+  if (job.adaptive) key += "|adaptive";
+  if (!job.pipelined) key += "|unpipelined";
+  if (job.randomized) {
+    std::snprintf(buf, sizeof buf, "|rand,delta=%.17g", job.delta);
+    key += buf;
+  }
+  if (job.tester == TesterKind::kRandomPartition) {
+    std::snprintf(buf, sizeof buf, "|delta=%.17g", job.delta);
+    key += buf;
+  }
+  if (job.max_rounds != 0) {
+    std::snprintf(buf, sizeof buf, "|maxr=%llu",
+                  static_cast<unsigned long long>(job.max_rounds));
+    key += buf;
+  }
+}
+
+}  // namespace
+
 std::string Job::cell_key() const {
   std::string key = instance.label();
-  key += '|';
-  key += tester_name(tester);
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "|eps=%.17g", epsilon);
-  key += buf;
-  if (adaptive) key += "|adaptive";
-  if (!pipelined) key += "|unpipelined";
-  if (randomized) {
-    std::snprintf(buf, sizeof buf, "|rand,delta=%.17g", delta);
-    key += buf;
-  }
-  if (tester == TesterKind::kRandomPartition) {
-    std::snprintf(buf, sizeof buf, "|delta=%.17g", delta);
-    key += buf;
-  }
-  if (max_rounds != 0) {
-    std::snprintf(buf, sizeof buf, "|maxr=%llu",
-                  static_cast<unsigned long long>(max_rounds));
-    key += buf;
-  }
+  append_cell_key_suffix(*this, key);
   return key;
+}
+
+JobIdentity Job::identity() const {
+  JobIdentity id;
+  id.cell_key = instance.label();
+  id.instance_hash = instance.hash_of_label(id.cell_key);
+  append_cell_key_suffix(*this, id.cell_key);
+  return id;
 }
 
 std::uint64_t derive_tester_seed(std::uint64_t instance_seed,

@@ -88,6 +88,15 @@ struct Manifest {
   std::vector<ManifestCell> cells;
 };
 
+// A job's two rendered identities, computed from one label() render:
+// the corpus address of its instance and its cell_key. Hot loops over a
+// job list compute this once per job instead of calling instance.hash()
+// and cell_key() (each renders the label) at every use.
+struct JobIdentity {
+  std::uint64_t instance_hash = 0;
+  std::string cell_key;
+};
+
 // One expanded simulation.
 struct Job {
   std::uint32_t job_index = 0;   // position in the expanded list
@@ -110,6 +119,8 @@ struct Job {
   // adaptive/randomized/unpipelined/delta/maxr markers). Jobs differing
   // only in instance/trial index share a key and aggregate into one cell.
   std::string cell_key() const;
+  // {instance.hash(), cell_key()} with the label rendered once.
+  JobIdentity identity() const;
 };
 
 // Parses a manifest document; returns false and fills *error on malformed

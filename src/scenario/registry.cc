@@ -107,8 +107,11 @@ std::uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
-std::uint64_t ScenarioInstance::hash() const {
-  std::uint64_t state = fnv1a64(label());
+std::uint64_t ScenarioInstance::hash() const { return hash_of_label(label()); }
+
+std::uint64_t ScenarioInstance::hash_of_label(
+    std::string_view rendered_label) const {
+  std::uint64_t state = fnv1a64(rendered_label);
   state ^= seed;
   return splitmix64(state);
 }

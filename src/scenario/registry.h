@@ -114,6 +114,8 @@ struct ScenarioInstance {
 
   // Corpus/cache key: 64-bit FNV-1a chain over label() and seed.
   std::uint64_t hash() const;
+  // hash() from an already rendered label() (skips the render).
+  std::uint64_t hash_of_label(std::string_view rendered_label) const;
 };
 
 // ---- Registry introspection ----------------------------------------------

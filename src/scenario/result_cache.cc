@@ -166,14 +166,21 @@ void ResultCache::open_scan() {
 }
 
 std::uint64_t ResultCache::key_for(const Job& job) {
-  return content_key(job.cell_key(), job.instance.hash(), job.tester_seed);
+  const JobIdentity id = job.identity();
+  return content_key(id.cell_key, id.instance_hash, job.tester_seed);
 }
 
 ResultCache::LoadStatus ResultCache::load(const Job& job,
                                           JobResult* out) const {
+  return load(job, job.identity(), out);
+}
+
+ResultCache::LoadStatus ResultCache::load(const Job& job,
+                                          const JobIdentity& id,
+                                          JobResult* out) const {
   if (!enabled()) return LoadStatus::kMiss;
-  const std::string cell_key = job.cell_key();
-  const std::uint64_t job_instance = job.instance.hash();
+  const std::string& cell_key = id.cell_key;
+  const std::uint64_t job_instance = id.instance_hash;
   const std::uint64_t cache_key =
       content_key(cell_key, job_instance, job.tester_seed);
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -227,9 +234,14 @@ ResultCache::LoadStatus ResultCache::load(const Job& job,
 }
 
 bool ResultCache::store(const Job& job, const JobResult& result) {
+  return store(job, job.identity(), result);
+}
+
+bool ResultCache::store(const Job& job, const JobIdentity& id,
+                        const JobResult& result) {
   if (!enabled() || result.failed) return false;
-  const std::string cell_key = job.cell_key();
-  const std::uint64_t instance_hash = job.instance.hash();
+  const std::string& cell_key = id.cell_key;
+  const std::uint64_t instance_hash = id.instance_hash;
   std::string rec = "{\"schema\": \"cpt_result_v1\", \"key\": ";
   json_append_escaped(rec, cell_key);
   // Hex16, not bare integers: instance hashes and derived seeds use the

@@ -102,12 +102,17 @@ class ResultCache {
   // failed validation -- callers re-execute, exactly like a miss, and the
   // re-store shadows it. Thread-safe against concurrent store()s.
   LoadStatus load(const Job& job, JobResult* out) const;
+  // Same, with the job's identity already rendered (id == job.identity()).
+  LoadStatus load(const Job& job, const JobIdentity& id,
+                  JobResult* out) const;
 
   // Appends the result under the job's key (a later line replaces an
   // earlier one; both hold equivalent results by the determinism
   // contract). Failed results are rejected (returns false without
   // writing).
   bool store(const Job& job, const JobResult& result);
+  // Same, with the job's identity already rendered (id == job.identity()).
+  bool store(const Job& job, const JobIdentity& id, const JobResult& result);
 
   // Makes every store so far durable and enforces max_entries. Returns
   // false when a sync or the cap's rewrite failed.

@@ -412,13 +412,14 @@ void Service::sync_cache_counters() {
   Impl& im = *impl_;
   const ResultCache::Counters& c = im.cache.counters();
   std::lock_guard<std::mutex> lock(im.mu);
+  // Adds the delta since the last sync -- zero included, so every counter
+  // is in the registry from the first snapshot on and a clean run reads 0
+  // rather than missing.
   const auto sync = [&](const char* name, const std::atomic<std::uint64_t>& v,
                         std::uint64_t* exported) {
     const std::uint64_t now = v.load(std::memory_order_relaxed);
-    if (now > *exported) {
-      metrics_.add_counter(name, now - *exported);
-      *exported = now;
-    }
+    metrics_.add_counter(name, now - *exported);
+    *exported = now;
   };
   sync("serve/cache_hits", c.hits, &im.exported_hits);
   sync("serve/cache_misses", c.misses, &im.exported_misses);

@@ -172,6 +172,63 @@ TEST(Registry, TesterSeedGoldensAndSeparation) {
   EXPECT_NE(derive_tester_seed(7, 0), derive_instance_seed("grid", none, 7, 0));
 }
 
+// Goldens for the corpus address (instance hash) and the aggregation /
+// result-cache identity (cell_key) over every marker cell_key renders:
+// corpus files and cache entries on disk are addressed by these values,
+// so any change in how they are computed orphans them. Regenerate (only
+// for a deliberate format change) with CPT_PRINT_GOLDENS=1.
+TEST(Registry, InstanceHashAndCellKeyGoldens) {
+  Manifest m;
+  std::string err;
+  ASSERT_TRUE(parse_manifest(R"({
+    "name": "keys", "base_seed": 11,
+    "cells": [
+      {"scenario": "grid", "params": {"rows": 9, "cols": 7}},
+      {"scenario": "apollonian", "params": {"n": 64}, "epsilon": 0.25,
+       "adaptive": true, "tester": "stage1_partition"},
+      {"scenario": "grid", "params": {"rows": 6, "cols": 6},
+       "perturb": {"kind": "plus_random_edges", "extra": 5},
+       "tester": "cycle_free", "randomized": true, "delta": 0.05},
+      {"scenario": "gnp", "params": {"n": 40, "avg_degree": 3.5},
+       "tester": "random_partition", "pipelined": false,
+       "max_rounds": 100000, "instances": 2}
+    ]})",
+                             &m, &err))
+      << err;
+  const std::vector<Job> jobs = expand_manifest(m);
+  ASSERT_EQ(jobs.size(), 5u);
+  struct Golden {
+    std::uint64_t hash;
+    const char* cell_key;
+  };
+  const Golden goldens[] = {
+      {0x39e24edc2fa6c5e7ULL,
+       "grid(cols=7,rows=9)|planarity|eps=0.10000000000000001"},
+      {0xfebde69eaf3fa0daULL,
+       "apollonian(n=64)|stage1_partition|eps=0.25|adaptive"},
+      {0x84a992f7a12c4ef0ULL,
+       "grid(cols=6,rows=6)+plus_random_edges(extra=5)|cycle_free|"
+       "eps=0.10000000000000001|rand,delta=0.050000000000000003"},
+      {0x9e63f825641a94e5ULL,
+       "gnp(avg_degree=3.5,n=40)|random_partition|eps=0.10000000000000001|"
+       "unpipelined|delta=0.10000000000000001|maxr=100000"},
+      {0xdc4a51198367a365ULL,
+       "gnp(avg_degree=3.5,n=40)|random_partition|eps=0.10000000000000001|"
+       "unpipelined|delta=0.10000000000000001|maxr=100000"},
+  };
+  const bool print = std::getenv("CPT_PRINT_GOLDENS") != nullptr;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (print) {
+      std::printf("      {0x%016llxULL, \"%s\"},\n",
+                  static_cast<unsigned long long>(jobs[j].instance.hash()),
+                  jobs[j].cell_key().c_str());
+      continue;
+    }
+    EXPECT_EQ(jobs[j].instance.hash(), goldens[j].hash) << j;
+    EXPECT_EQ(jobs[j].cell_key(), goldens[j].cell_key) << j;
+  }
+}
+
 TEST(Registry, PlanarFamilyFlagsMatchTheGenerators) {
   // The one-sidedness invariant trusts these flags; spot-check both sides.
   for (const char* name : {"path", "cycle", "star", "grid",

@@ -738,6 +738,20 @@ TEST(Service, ServesRunsAndRepeatSweepsComeEntirelyFromCache) {
   EXPECT_NE(snapshot.find("serve/runs"), std::string::npos);
   EXPECT_NE(snapshot.find("serve/cache_hits"), std::string::npos);
   EXPECT_NE(snapshot.find("serve/cache_syncs"), std::string::npos);
+  // Every cache counter is exported from the first snapshot on, zeros
+  // included: a clean run reads 0, not "missing".
+  JsonValue snapshot_doc;
+  ASSERT_TRUE(JsonValue::parse(snapshot, &snapshot_doc, &err)) << snapshot;
+  const JsonValue* metrics_obj = snapshot_doc.find("metrics");
+  const JsonValue* counters =
+      metrics_obj != nullptr ? metrics_obj->find("counters") : nullptr;
+  ASSERT_NE(counters, nullptr) << snapshot;
+  for (const char* name : {"serve/cache_corrupt", "serve/cache_evictions",
+                           "serve/cache_compactions"}) {
+    const JsonValue* v = counters->find(name);
+    ASSERT_NE(v, nullptr) << name << " not exported:\n" << snapshot;
+    EXPECT_EQ(v->as_int64(), 0) << name;
+  }
 
   ASSERT_TRUE(send_all(fd, "{\"op\": \"shutdown\"}\n"));
   server.join();

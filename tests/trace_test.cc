@@ -253,7 +253,7 @@ TEST(TraceDeterminismTest, UnionAndMergeDeliveryTracesMatch) {
 // a pure function of the deterministic fields). Pins the trace content
 // -- span names, counts, rounds/messages sums -- across refactors.
 // Regenerate with CPT_PRINT_GOLDENS=1.
-constexpr std::uint64_t kSummaryGolden = 0xe9c5d107e77040d5ULL;
+constexpr std::uint64_t kSummaryGolden = 0x9048fc7163c72de0ULL;
 
 TEST(TraceAnalysisTest, GoldenSummaryAndDiffOnCiSmoke) {
   if (!util::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
@@ -276,8 +276,10 @@ TEST(TraceAnalysisTest, GoldenSummaryAndDiffOnCiSmoke) {
   TraceFile t;
   ASSERT_TRUE(scenario::load_trace_file(path_a, &t, &error)) << error;
   EXPECT_EQ(t.name, m.name);
-  // 1 batch track + 6 instance slots + 24 job tracks.
-  EXPECT_EQ(t.tracks.size(), 31u);
+  // 1 batch track + 6 instance slots + 24 job tracks + 6 shared Stage I
+  // runs (one per instance: both testers of a ci_smoke instance run the
+  // same Stage I).
+  EXPECT_EQ(t.tracks.size(), 37u);
   const std::string summary = scenario::trace_summary(t, false);
   const std::uint64_t hash = fnv1a64(summary);
   if (std::getenv("CPT_PRINT_GOLDENS") != nullptr) {
